@@ -136,6 +136,7 @@ WORKLOAD = [
 # integrity tests, and latency there would not be seen by a query.
 QUERY_SITES = [
     "wavelet.rank",
+    "wavelet.rank_pair",
     "wavelet.select",
     "wavelet.range_next_value",
     "wavelet.access",
@@ -148,6 +149,7 @@ QUERY_SITES = [
     "bitvector.rank_many",
     "bitvector.select_many",
     "bitvector.access_many",
+    "bitvector.access_rank_many",
     "wavelet.rank_many",
     "wavelet.extract_at",
 ]

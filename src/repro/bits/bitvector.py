@@ -11,13 +11,14 @@ the paper cites for its ``o(n)``-bit rank/select support:
 
 ``rank1`` therefore costs one superblock lookup, one relative lookup and
 one popcount.  ``select`` binary-searches the superblock counters and then
-scans at most ``WORDS_PER_SUPERBLOCK`` words.
+scans at most ``WORDS_PER_SUPERBLOCK`` words.  Scalar operations read the
+arrays through zero-copy ``memoryview``s, which yield plain ``int``s.
 
 Besides the scalar operations the class exposes the **batch kernels**
-``rank1_many`` / ``rank0_many`` / ``select1_many`` / ``access_many``,
-which answer a whole numpy array of queries in O(1) Python calls — the
-foundation of the vectorised wavelet-matrix and LTJ fast paths (see
-``docs/INTERNALS.md``, "The kernel layer").
+``rank1_many`` / ``rank0_many`` / ``select1_many`` / ``access_many`` /
+``access_rank1_many``, which answer a whole numpy array of queries in
+O(1) Python calls — the foundation of the vectorised wavelet-matrix and
+LTJ fast paths (see ``docs/INTERNALS.md``, "The kernel layer").
 
 Indexing conventions (used consistently across the library):
 
@@ -29,6 +30,7 @@ Indexing conventions (used consistently across the library):
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 import numpy as np
@@ -37,6 +39,7 @@ from repro.perf.counters import KERNEL_COUNTERS as _perf
 
 WORDS_PER_SUPERBLOCK = 8
 _LOW6 = 63
+_WORD_MASK = (1 << 64) - 1
 _ONE = np.uint64(1)
 
 
@@ -99,7 +102,10 @@ class BitVector:
         common construction paths.
     """
 
-    __slots__ = ("_n", "_words", "_super", "_rel", "_ones", "_word_prefix")
+    __slots__ = (
+        "_n", "_words", "_super", "_rel", "_ones", "_word_prefix",
+        "_wv", "_sv", "_rv",
+    )
 
     def __init__(self, bits: Iterable[int]) -> None:
         if isinstance(bits, np.ndarray):
@@ -183,6 +189,7 @@ class BitVector:
         bv._rel = rel
         bv._ones = int(ones)
         bv._word_prefix = None
+        bv._bind_views()
         return bv
 
     @classmethod
@@ -224,6 +231,13 @@ class BitVector:
         rel_shifted[:, 1:] = rel[:, :-1]
         self._rel = rel_shifted.reshape(-1)[:nwords].astype(np.uint16)
         self._ones = int(self._super[-1])
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Zero-copy memoryviews of the arrays: scalar reads as ``int``s."""
+        self._wv = memoryview(self._words)
+        self._sv = memoryview(self._super)
+        self._rv = memoryview(self._rel)
 
     def _word_prefix_counts(self) -> np.ndarray:
         """``out[w]`` = ones strictly before word ``w`` (lazy, cached).
@@ -258,7 +272,7 @@ class BitVector:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(f"bit index {i} out of range [0, {self._n})")
-        return (int(self._words[i >> 6]) >> (i & _LOW6)) & 1
+        return (self._wv[i >> 6] >> (i & _LOW6)) & 1
 
     def rank1(self, i: int) -> int:
         """Number of ones in positions ``[0, i)``; ``0 <= i <= len``."""
@@ -267,48 +281,55 @@ class BitVector:
         if i >= self._n:
             return self._ones
         w = i >> 6
-        base = int(self._super[w // WORDS_PER_SUPERBLOCK]) + int(self._rel[w])
+        base = self._sv[w // WORDS_PER_SUPERBLOCK] + self._rv[w]
         rem = i & _LOW6
         if rem == 0:
             return base
-        word = int(self._words[w]) & ((1 << rem) - 1)
-        return base + word.bit_count()
+        return base + (self._wv[w] & ((1 << rem) - 1)).bit_count()
 
     def rank0(self, i: int) -> int:
         """Number of zeros in positions ``[0, i)``."""
-        i = min(max(i, 0), self._n)
+        if i <= 0:
+            return 0
+        if i >= self._n:
+            return self._n - self._ones
         return i - self.rank1(i)
 
     def select1(self, k: int) -> int:
         """Position of the k-th one (``1 <= k <= ones``)."""
         if not 1 <= k <= self._ones:
             raise ValueError(f"select1({k}) out of range [1, {self._ones}]")
-        # Superblock whose prefix count is still < k, then one vectorised
-        # popcount over its <= WORDS_PER_SUPERBLOCK words.
-        sb = int(np.searchsorted(self._super, k, side="left")) - 1
-        count = int(self._super[sb])
-        w0 = sb * WORDS_PER_SUPERBLOCK
-        last = min(w0 + WORDS_PER_SUPERBLOCK, len(self._words))
-        cum = count + np.cumsum(_popcount_words(self._words[w0:last]))
-        wi = int(np.searchsorted(cum, k, side="left"))
-        if wi >= len(cum):
-            raise AssertionError("select1 internal inconsistency")
-        prev = count if wi == 0 else int(cum[wi - 1])
-        word = int(self._words[w0 + wi])
-        return ((w0 + wi) << 6) + _select_in_word(word, k - prev)
+        return self._select(k, ones=True)
 
     def select0(self, k: int) -> int:
         """Position of the k-th zero (``1 <= k <= zeros``)."""
         if not 1 <= k <= self.zeros:
             raise ValueError(f"select0({k}) out of range [1, {self.zeros}]")
-        lo, hi = 0, self._n  # invariant: rank0(lo) < k <= rank0(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.rank0(mid) < k:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return self._select(k, ones=False)
+
+    def _select(self, k: int, ones: bool) -> int:
+        """Position of the k-th one (or zero): bisect the superblocks, then
+        their words, for the last with fewer than ``k`` before it, then scan
+        the word.  Zeros before superblock ``i`` are ``64*8*i - super[i]``
+        (padding zeros only follow the last real bit)."""
+        sv, rv = self._sv, self._rv
+        span = 64 * WORDS_PER_SUPERBLOCK
+        if ones:
+            sb = bisect_left(sv, k) - 1
+        else:
+            sb = bisect_left(
+                range(len(sv)), k, key=lambda i: i * span - sv[i]
+            ) - 1
+
+        def before(w: int) -> int:  # ones (zeros) before word w of sb
+            count = sv[sb] + rv[w]
+            return count if ones else (w << 6) - count
+
+        w0 = sb * WORDS_PER_SUPERBLOCK
+        words = range(w0 + 1, min(w0 + WORDS_PER_SUPERBLOCK, len(rv)))
+        w = w0 + bisect_left(words, k, key=before)
+        word = self._wv[w] if ones else ~self._wv[w] & _WORD_MASK
+        return (w << 6) + _select_in_word(word, k - before(w))
 
     def next_one(self, i: int) -> Optional[int]:
         """Smallest position ``>= i`` holding a one, or ``None``."""
@@ -407,6 +428,32 @@ class BitVector:
                 "bits.access_many", pos.size, time.perf_counter() - started
             )
         return out
+
+    def access_rank1_many(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """``(access_many(p), rank1_many(p))`` from one word gather, for
+        positions in ``[0, n)``: the two reads the wavelet matrix's
+        access descent makes at every level.  Bits are ``uint8``, ranks
+        ``int64``.
+        """
+        started = time.perf_counter() if _perf.enabled else 0.0
+        # Viewed unsigned, a negative position is also >= n: one check.
+        pos = np.asarray(positions, dtype=np.int64).view(np.uint64)
+        if pos.size and int(pos.max()) >= self._n:
+            raise IndexError(
+                f"bit index out of range [0, {self._n}) in access_rank1_many"
+            )
+        w = pos >> 6
+        words = self._words[w]
+        rem = pos & _LOW6
+        bits = ((words >> rem) & _ONE).astype(np.uint8)
+        base = self._super[w // WORDS_PER_SUPERBLOCK] + self._rel[w]
+        masked = words & ((_ONE << rem) - _ONE)
+        ranks = (base + _popcount_words(masked)).view(np.int64)
+        if _perf.enabled:
+            _perf.record(
+                "bits.access_rank1_many", pos.size, time.perf_counter() - started
+            )
+        return bits, ranks
 
     # -- bulk access -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.bits.bitvector import BitVector, _select_in_word
+from repro.bits.bitvector import _select_in_word
 from repro.bits.packed import PackedIntArray, bits_needed
 
 SUPERBLOCK_BLOCKS = 32
@@ -311,6 +311,11 @@ class RRRBitVector:
             (self[int(i)] for i in pos), dtype=np.uint8, count=pos.size
         ).reshape(pos.shape)
 
+    def access_rank1_many(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """``(access_many(p), rank1_many(p))``, same contract as
+        :meth:`BitVector.access_rank1_many`."""
+        return self.access_many(positions), self.rank1_many(positions)
+
     def to_bool_array(self) -> np.ndarray:
         out = np.zeros(self._n, dtype=bool)
         for b in range(len(self._classes)):
@@ -346,9 +351,3 @@ def _reverse_bits(value: int, width: int) -> int:
         value >>= 1
     return out
 
-
-def best_bitvector(arr: np.ndarray, compressed: bool, block_size: int = 15):
-    """Factory used by the wavelet matrix: plain or RRR backend."""
-    if compressed:
-        return RRRBitVector.from_bool_array(arr, block_size)
-    return BitVector.from_bool_array(arr)

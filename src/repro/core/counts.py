@@ -70,6 +70,7 @@ class PackedCounts:
         if len(self._c) == 0 or (np.diff(self._c) < 0).any():
             raise ValueError("cumulative counts must be non-decreasing")
         self._n = int(self._c[-1])
+        self._cv = memoryview(self._c)  # scalar reads as plain ints
 
     @classmethod
     def from_raw(
@@ -88,13 +89,14 @@ class PackedCounts:
         if len(pc._c) == 0:
             raise ValueError("cumulative counts must be non-empty")
         pc._n = int(pc._c[-1])
+        pc._cv = memoryview(pc._c)
         return pc
 
     def __len__(self) -> int:
         return len(self._c)
 
     def access(self, v: int) -> int:
-        return int(self._c[v])
+        return self._cv[v]
 
     def access_many(self, vs) -> np.ndarray:
         """``C[v]`` over an array of values (one fancy-index call)."""
@@ -107,7 +109,7 @@ class PackedCounts:
     def next_nonempty(self, c: int) -> int | None:
         if c >= len(self._c) - 1:
             return None
-        base = int(self._c[max(c, 0)])
+        base = self._cv[max(c, 0)]
         if base >= self._n:
             return None
         v = int(np.searchsorted(self._c, base, side="right")) - 1

@@ -491,8 +491,9 @@ def open_frozen_ring(
 ) -> tuple[Ring, dict]:
     """Open a frozen pack as a fully functional :class:`Ring`.
 
-    ``mmap=True`` backs every array with a read-only ``np.memmap`` view
-    — nothing is materialized, the OS pages in what queries touch;
+    ``mmap=True`` backs every array with a read-only plain ``ndarray``
+    view of the pack's ``np.memmap`` (no subclass hooks per read) —
+    nothing is materialized, the OS pages in what queries touch;
     ``mmap=False`` performs one sequential read and serves the same
     views over a RAM buffer.  ``verify=True`` runs the O(1)+arithmetic
     layout validation before any array is interpreted (torn/truncated
@@ -517,6 +518,7 @@ def open_frozen_ring(
         raise IndexIntegrityError(
             path, f"cannot open pack: {type(exc).__name__}: {exc}"
         ) from exc
+    buf = buf.view(np.ndarray)  # a memmap stays the base of every view
 
     table = manifest["arrays"]
 

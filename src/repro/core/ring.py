@@ -194,9 +194,9 @@ class Ring:
         ``prev_attr(zone)``.  May return an empty range.
         """
         target = prev_attr(zone)
-        wm = self._seq[zone]
         base = self._c[target].access(symbol)
-        return (target, base + wm.rank(symbol, lo), base + wm.rank(symbol, hi))
+        before, upto = self._seq[zone].rank_pair(symbol, lo, hi)
+        return (target, base + before, base + upto)
 
     def attribute_range(self, attr: int, value: int) -> ZoneState:
         """Range of rotations starting with ``value`` at attribute ``attr``."""
@@ -325,8 +325,8 @@ class Ring:
             return None
         wm = self._seq[target]
         start = self._c[target].access(c)
-        before = wm.rank(d, start)
-        if before >= wm.rank(d, self._n):
+        before, total = wm.rank_pair(d, start, self._n)
+        if before >= total:
             return None
         q = wm.select(d, before + 1)
         value = self._c[target].bucket_of(q)

@@ -32,6 +32,7 @@ the worker after the query.  A fully unspawnable pool raises
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import multiprocessing as mp
@@ -162,7 +163,7 @@ def _worker_main(
 
 def _spawn_worker(ctx, worker_id, handle, engine_opts, task_q, result_q, cancel_flag):
     """Start one worker process (chaos site ``parallel.spawn``)."""
-    own_tracker = ctx.get_start_method() != "fork"
+    forked = ctx.get_start_method() == "fork"
     proc = ctx.Process(
         target=_worker_main,
         args=(
@@ -172,12 +173,20 @@ def _spawn_worker(ctx, worker_id, handle, engine_opts, task_q, result_q, cancel_
             task_q,
             result_q,
             cancel_flag,
-            own_tracker,
+            not forked,  # own_tracker
         ),
         name=f"ring-worker-{worker_id}",
         daemon=True,
     )
-    proc.start()
+    # A forked child shares the parent's heap copy-on-write; frozen objects
+    # escape its collector, whose first full pass would copy every page.
+    if forked:
+        gc.freeze()
+    try:
+        proc.start()
+    finally:
+        if forked:
+            gc.unfreeze()
     return proc
 
 

@@ -104,8 +104,8 @@ class RelationRing:
     ) -> tuple[int, int, int]:
         target = (zone - 1) % self._d
         base = int(self._c[target][symbol])
-        wm = self._seq[zone]
-        return (target, base + wm.rank(symbol, lo), base + wm.rank(symbol, hi))
+        before, upto = self._seq[zone].rank_pair(symbol, lo, hi)
+        return (target, base + before, base + upto)
 
     def range_for_run(
         self, start: int, values: Sequence[int]
@@ -168,8 +168,7 @@ class RelationRing:
         wm = self._seq[t]
         carr = self._c[t]
         last_value = values[-1]
-        rank = wm.rank(last_value, int(carr[c]))
-        total = wm.rank(last_value, self._n)
+        rank, total = wm.rank_pair(last_value, int(carr[c]), self._n)
         while rank < total:
             q = wm.select(last_value, rank + 1)
             if self._verify_run(t, q, start, values):

@@ -54,6 +54,7 @@ class InjectedFault(RuntimeError):
 #: site name -> (owner object, attribute name) patch target.
 SITES: dict[str, tuple[object, str]] = {
     "wavelet.rank": (WaveletMatrix, "rank"),
+    "wavelet.rank_pair": (WaveletMatrix, "rank_pair"),
     "wavelet.select": (WaveletMatrix, "select"),
     "wavelet.range_next_value": (WaveletMatrix, "next_in_range"),
     "wavelet.access": (WaveletMatrix, "__getitem__"),
@@ -65,6 +66,7 @@ SITES: dict[str, tuple[object, str]] = {
     "bitvector.rank_many": (BitVector, "rank1_many"),
     "bitvector.select_many": (BitVector, "select1_many"),
     "bitvector.access_many": (BitVector, "access_many"),
+    "bitvector.access_rank_many": (BitVector, "access_rank1_many"),
     "wavelet.rank_many": (WaveletMatrix, "rank_many"),
     "wavelet.extract_at": (WaveletMatrix, "extract_at"),
     "rrr.rank": (RRRBitVector, "rank1"),

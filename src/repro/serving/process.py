@@ -300,6 +300,7 @@ class ProcessEndpoint:
         self.heartbeat_timeout = heartbeat_timeout
         self._lock = threading.RLock()
         self._send_lock = threading.Lock()
+        self._reap_lock = threading.Lock()  # see _reap
         self._conn = None
         self._proc: Optional[mp.process.BaseProcess] = None
         self._pending: dict[int, tuple[Future, Optional[callable]]] = {}
@@ -403,7 +404,7 @@ class ProcessEndpoint:
             pending = list(self._pending.values())
             self._pending.clear()
         if proc is not None:
-            proc.join(timeout=5.0)  # reap the zombie
+            self._reap(proc, 5.0)
         error = self._classify_death(proc)
         if not ready.done():
             ready.set_exception(error)
@@ -432,6 +433,12 @@ class ProcessEndpoint:
             detail = f"exit code {exitcode}"
         return ShardProcessDied(f"shard process died ({detail})")
 
+    def _reap(self, proc, timeout: float) -> None:
+        """Join ``proc``, one thread at a time: of two concurrent joins the
+        loser reads no exit code, and a death would pass for a reset."""
+        with self._reap_lock:
+            proc.join(timeout=timeout)
+
     def kill(self) -> None:
         """``kill -9`` the shard process (chaos lever; WAL left as-is)."""
         with self._lock:
@@ -442,7 +449,7 @@ class ProcessEndpoint:
                 os.kill(proc.pid, signal.SIGKILL)
             except (OSError, ProcessLookupError):  # pragma: no cover
                 pass
-            proc.join(timeout=5.0)
+            self._reap(proc, 5.0)
         # The reader thread observes EOF and fails every pending future.
 
     def terminate(self, wait: float = 10.0) -> Optional[int]:
@@ -458,7 +465,7 @@ class ProcessEndpoint:
             os.kill(proc.pid, signal.SIGTERM)
         except (OSError, ProcessLookupError):  # pragma: no cover
             pass
-        proc.join(timeout=wait)
+        self._reap(proc, wait)
         if proc.is_alive():  # drain wedged: escalate
             self.kill()
         return proc.exitcode
@@ -470,7 +477,7 @@ class ProcessEndpoint:
                 return  # already running
             proc = self._proc
         if proc is not None:
-            proc.join(timeout=5.0)  # reap before respawning
+            self._reap(proc, 5.0)
         self._start()
         with self._lock:
             self._incarnation += 1
@@ -488,7 +495,7 @@ class ProcessEndpoint:
                 )
             except Exception:
                 pass
-            proc.join(timeout=10.0)
+            self._reap(proc, 10.0)
             if proc.is_alive():
                 self.terminate()
 
